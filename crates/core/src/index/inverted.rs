@@ -6,21 +6,39 @@
 //! approximated as `1 / |L_w|` — the inverse of the number of fragments
 //! containing `w` (Section VI).
 //!
-//! Storage is two contiguous arenas sharing one offset table, indexed
-//! by interned [`Kw`] handles:
+//! Storage is two arenas sharing one offset table, indexed by interned
+//! [`Kw`] handles. A keyword's list lies in one slot, a run of arena
+//! positions, at the same place in both arenas:
 //!
-//! * `tf_arena` — every keyword's posting list sorted by descending TF
-//!   (the order the top-k seeding cursor walks), one keyword after the
-//!   next;
+//! * `tf_arena` — the list sorted by descending TF, ties by fragment
+//!   identifier (the order the top-k seeding cursor walks);
 //! * `probe_arena` — the same postings sorted by fragment handle, so
 //!   the occurrence of *any* fragment (an expansion neighbor) is one
-//!   binary search away, replacing the seed's per-keyword
-//!   `HashMap<FragmentId, u64>` maps and their clone-heavy probes.
+//!   binary search away.
+//!
+//! [`InvertedFragmentIndex::build`] lays the lists out in handle order,
+//! one keyword after the next, each filling its slot. Maintenance then
+//! moves them: a delta rewrites only the lists it touches, a list that
+//! fits its slot in place (a list that shrank keeps its slot, so it can
+//! grow back in place), a list that outgrew its slot at the end of both
+//! arenas. Slots holding no live posting — the unused tail of a slot,
+//! or a whole slot its list left — are *dead*. Invariant: after every
+//! delta the arenas hold at most two slots per live posting; once dead
+//! slots exceed half of them, the arenas are compacted back to handle
+//! order. So memory stays within twice the live postings, and a
+//! compaction copies fewer postings than the dead slots it reclaims,
+//! which amortizes it to O(1) per slot the deltas killed. Readers go
+//! through the offset table and never see a dead slot, and arena
+//! images are written in the compacted layout, so neither the on-disk
+//! format nor a replication snapshot ever carries one.
 //!
 //! Posting lists never allocate per entry; building sorts each
 //! keyword's slice independently (parallelized across lists).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use crate::fragment::Fragment;
 use crate::index::catalog::{Frag, FragmentCatalog, Kw};
@@ -107,15 +125,40 @@ impl KeywordInterner {
     }
 }
 
-/// Per-keyword slice bounds, shared by both arenas.
+/// The most arena slots, live and dead, the index keeps per live
+/// posting: [`InvertedFragmentIndex::apply_delta`] compacts the arenas
+/// as soon as a delta leaves more.
+const MAX_SLOTS_PER_POSTING: usize = 2;
+
+/// Per-keyword slice bounds, shared by both arenas: the list's `len`
+/// postings fill the front of a slot of `cap` slots at `start`.
 #[derive(Debug, Clone, Copy, Default)]
 struct ListRef {
     start: u32,
     len: u32,
+    cap: u32,
 }
 
-/// The inverted half of the fragment index.
-#[derive(Debug, Clone, Default)]
+impl ListRef {
+    /// A list filling its whole slot.
+    fn packed(start: u32, len: u32) -> Self {
+        ListRef {
+            start,
+            len,
+            cap: len,
+        }
+    }
+
+    #[inline]
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The inverted half of the fragment index. A clone is compacted (see
+/// the module docs): copying only the live postings costs no more than
+/// copying the arenas, and the copy starts with no dead slot.
+#[derive(Debug, Default)]
 pub struct InvertedFragmentIndex {
     interner: KeywordInterner,
     lists: Vec<ListRef>,
@@ -156,7 +199,7 @@ impl InvertedFragmentIndex {
         let mut lists = Vec::with_capacity(counts.len());
         let mut total = 0u32;
         for &len in &counts {
-            lists.push(ListRef { start: total, len });
+            lists.push(ListRef::packed(total, len));
             total += len;
         }
         // Pass 2: place postings keyword-major. When fragments arrive
@@ -188,8 +231,7 @@ impl InvertedFragmentIndex {
         }
         if !monotone {
             for list in &lists {
-                let slice = &mut probe_arena[list.start as usize..(list.start + list.len) as usize];
-                slice.sort_unstable_by_key(|e| e.frag);
+                probe_arena[list.range()].sort_unstable_by_key(|e| e.frag);
             }
         }
         let mut index = InvertedFragmentIndex {
@@ -203,8 +245,10 @@ impl InvertedFragmentIndex {
         index
     }
 
-    /// Recomputes the TF-sorted arena from the probe arena, sorting
-    /// every keyword's slice independently (in parallel).
+    /// Derives the TF-sorted arena from the probe arena, sorting every
+    /// keyword's slice independently (in parallel). Build only: it
+    /// assumes the compact layout `build` produces, where the lists
+    /// follow one another in handle order.
     fn rebuild_tf_arena(&mut self, catalog: &FragmentCatalog) {
         self.tf_arena = self
             .probe_arena
@@ -215,9 +259,7 @@ impl InvertedFragmentIndex {
                 tf: tf_of(catalog, p.frag, p.occurrences),
             })
             .collect();
-        // Carve the arena into per-keyword slices and sort each:
-        // descending TF, ties by ascending fragment identifier (a total
-        // order — index layout is independent of insertion order).
+        // Carve the arena into per-keyword slices and sort each.
         let mut slices: Vec<&mut [Posting]> = Vec::with_capacity(self.lists.len());
         let mut rest: &mut [Posting] = &mut self.tf_arena;
         for list in &self.lists {
@@ -226,11 +268,7 @@ impl InvertedFragmentIndex {
             rest = tail;
         }
         par::for_each(slices, |slice| {
-            slice.sort_unstable_by(|a, b| {
-                b.tf.partial_cmp(&a.tf)
-                    .expect("finite TF")
-                    .then_with(|| catalog.cmp_ids(a.frag, b.frag))
-            });
+            slice.sort_unstable_by(|a, b| tf_order(catalog, a, b));
         });
     }
 
@@ -242,14 +280,22 @@ impl InvertedFragmentIndex {
         if list.len == 0 {
             return None;
         }
-        Some(&self.tf_arena[list.start as usize..(list.start + list.len) as usize])
+        Some(&self.tf_arena[list.range()])
     }
 
     /// The TF-sorted inverted list for an interned keyword.
     #[inline]
     pub fn postings_kw(&self, kw: Kw) -> &[Posting] {
-        let list = self.lists[kw.index()];
-        &self.tf_arena[list.start as usize..(list.start + list.len) as usize]
+        &self.tf_arena[self.lists[kw.index()].range()]
+    }
+
+    /// The inverted list of an interned keyword as `(fragment,
+    /// occurrences)` pairs in fragment-handle order — the view the
+    /// occurrence probe binary searches.
+    pub fn probe_kw(&self, kw: Kw) -> impl ExactSizeIterator<Item = (Frag, u64)> + '_ {
+        self.probe_arena[self.lists[kw.index()].range()]
+            .iter()
+            .map(|e| (e.frag, e.occurrences))
     }
 
     /// The handle of `word`, if any fragment contains it.
@@ -272,8 +318,7 @@ impl InvertedFragmentIndex {
     /// the seed's clone-per-call `occurrences_of` map API).
     #[inline]
     pub fn occurrences(&self, kw: Kw, frag: Frag) -> u64 {
-        let list = self.lists[kw.index()];
-        let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
+        let slice = &self.probe_arena[self.lists[kw.index()].range()];
         match slice.binary_search_by(|e| e.frag.cmp(&frag)) {
             Ok(i) => slice[i].occurrences,
             Err(_) => 0,
@@ -335,98 +380,164 @@ impl InvertedFragmentIndex {
     }
 
     /// Applies one batched mutation — every posting splice of an
-    /// [`IndexDelta`](crate::update::IndexDelta) — in a single pass:
-    /// drops the postings of `removes`, supersedes the postings of
-    /// re-added fragments, merges the additions at their fragment-sorted
-    /// positions, and re-sorts the TF arena **once** for the whole
-    /// batch (the per-fragment maintenance of earlier revisions paid one
-    /// full TF re-sort per fragment). Every added fragment must already
-    /// be interned in `catalog`. Returns the number of postings removed
-    /// on behalf of `removes`.
+    /// [`IndexDelta`](crate::update::IndexDelta) — touching only the
+    /// lists the delta touches: the lists of every added keyword, plus
+    /// every list holding a posting of a removed or re-added fragment.
+    /// Each touched list is rebuilt by two linear merges (the survivors
+    /// of its probe slice in fragment order, of its TF slice in TF
+    /// order, each merged with the additions) and written back in place
+    /// if it fits its slot, at the end of the arenas if not; the
+    /// arenas are compacted once dead slots exceed half of them (see
+    /// the module docs). The cost is O(postings of the touched lists)
+    /// plus one probe per list to find them — never a rewrite or
+    /// re-sort of the whole index. The result is identical to a fresh
+    /// build: TF depends only on a posting's own fragment, so untouched
+    /// entries keep their order, and the TF order is total.
+    ///
+    /// A delta that touches no list (e.g. removing an already
+    /// tombstoned handle) writes nothing. Every added fragment must
+    /// already be interned in `catalog`. Returns the number of postings
+    /// removed on behalf of `removes`; a re-added fragment's old
+    /// postings are superseded, not counted.
     pub fn apply_delta(
         &mut self,
         catalog: &FragmentCatalog,
         removes: &[Frag],
         adds: &[&Fragment],
     ) -> usize {
-        if removes.is_empty() && adds.is_empty() {
-            return 0;
-        }
-        // Cheap pre-probe: a removes-only delta whose targets carry no
-        // live postings (e.g. already-tombstoned handles) skips the
-        // whole arena rewrite — O(lists · log L) probes instead of an
-        // O(postings) copy.
-        if adds.is_empty() && !removes.iter().any(|&frag| self.has_postings(frag)) {
-            return 0;
-        }
-        let removed_set: HashSet<Frag> = removes.iter().copied().collect();
-        // Per-keyword posting splices, interning new keywords up front so
-        // `lists` covers them; a re-added fragment's stale postings are
-        // superseded, not counted as removals.
-        let mut replacing: HashSet<Frag> = HashSet::with_capacity(adds.len());
-        let mut add_postings: HashMap<Kw, Vec<ProbeEntry>> = HashMap::new();
-        let mut added = 0usize;
+        // Additions per keyword, interning new keywords so `lists`
+        // covers them.
+        let mut replacing: Vec<Frag> = Vec::with_capacity(adds.len());
+        let mut additions: BTreeMap<Kw, Vec<ProbeEntry>> = BTreeMap::new();
         for fragment in adds {
             let frag = catalog.frag(&fragment.id).expect("fragment interned");
-            replacing.insert(frag);
+            replacing.push(frag);
             for (word, &occurrences) in &fragment.keyword_occurrences {
                 let kw = self.interner.intern(word);
                 if kw.index() == self.lists.len() {
                     self.lists.push(ListRef::default());
                 }
-                add_postings
+                additions
                     .entry(kw)
                     .or_default()
                     .push(ProbeEntry { frag, occurrences });
-                added += 1;
             }
         }
-        for entries in add_postings.values_mut() {
-            entries.sort_unstable_by_key(|e| e.frag);
+        let replacing = sorted_set(replacing);
+        let gone = sorted_set([removes, replacing.as_slice()].concat());
+
+        // One pass over the offset table finds every touched list.
+        let mut added_kws = additions.keys().copied().peekable();
+        let touched: Vec<Kw> = (0..self.lists.len())
+            .map(|i| Kw(i as u32))
+            .filter(|&kw| {
+                added_kws.next_if_eq(&kw).is_some()
+                    || holds_any(&self.probe_arena[self.lists[kw.index()].range()], &gone)
+            })
+            .collect();
+
+        let mut removed_postings = 0;
+        let mut probe: Vec<ProbeEntry> = Vec::new();
+        let mut tf: Vec<Posting> = Vec::new();
+        let mut fresh: Vec<Posting> = Vec::new();
+        for kw in touched {
+            let mut added = additions.remove(&kw).unwrap_or_default();
+            added.sort_unstable_by_key(|e| e.frag);
+            let list = self.lists[kw.index()];
+            // Probe slice: survivors in fragment order, merged with the
+            // additions.
+            probe.clear();
+            let mut pending = added.iter().copied().peekable();
+            for &entry in &self.probe_arena[list.range()] {
+                if gone.binary_search(&entry.frag).is_ok() {
+                    removed_postings += usize::from(replacing.binary_search(&entry.frag).is_err());
+                    continue;
+                }
+                while let Some(a) = pending.next_if(|a| a.frag < entry.frag) {
+                    probe.push(a);
+                }
+                probe.push(entry);
+            }
+            probe.extend(pending);
+            // TF slice: survivors in their existing order, merged with
+            // the additions under the build's comparator.
+            fresh.clear();
+            fresh.extend(added.iter().map(|e| Posting {
+                frag: e.frag,
+                occurrences: e.occurrences,
+                tf: tf_of(catalog, e.frag, e.occurrences),
+            }));
+            fresh.sort_unstable_by(|a, b| tf_order(catalog, a, b));
+            tf.clear();
+            let mut pending = fresh.iter().copied().peekable();
+            for &posting in &self.tf_arena[list.range()] {
+                if gone.binary_search(&posting.frag).is_ok() {
+                    continue;
+                }
+                while let Some(a) =
+                    pending.next_if(|a| tf_order(catalog, a, &posting) == Ordering::Less)
+                {
+                    tf.push(a);
+                }
+                tf.push(posting);
+            }
+            tf.extend(pending);
+            self.place(kw, &probe, &tf);
         }
-        // One rewrite of the probe arena: each list keeps its surviving
-        // postings (frag-sorted) merged with its additions.
-        let mut arena = Vec::with_capacity(self.probe_arena.len() + added);
+        if self.tf_arena.len() > MAX_SLOTS_PER_POSTING * self.posting_count() {
+            self.compact();
+        }
+        removed_postings
+    }
+
+    /// Writes `kw`'s rebuilt slices back: in place when the list fits
+    /// its slot (the slot's unused tail is dead), at the end of both
+    /// arenas in a new slot of its exact length when it outgrew it (the
+    /// whole old slot goes dead).
+    fn place(&mut self, kw: Kw, probe: &[ProbeEntry], tf: &[Posting]) {
+        let list = &mut self.lists[kw.index()];
+        let len = probe.len();
+        if len > list.cap as usize {
+            let start = u32::try_from(self.tf_arena.len()).expect("arena beyond u32 slots");
+            *list = ListRef::packed(start, len as u32);
+            self.probe_arena.extend_from_slice(probe);
+            self.tf_arena.extend_from_slice(tf);
+        } else {
+            let at = list.start as usize;
+            self.probe_arena[at..at + len].copy_from_slice(probe);
+            self.tf_arena[at..at + len].copy_from_slice(tf);
+        }
+        list.len = len as u32;
+    }
+
+    /// Whether the arenas have the layout `build` produces: no dead
+    /// slot, every list right after its predecessor in handle order.
+    fn is_compact(&self) -> bool {
+        self.tf_arena.len() == self.posting_count()
+            && self
+                .image_lists()
+                .zip(&self.lists)
+                .all(|((start, len), l)| len == 0 || start == l.start)
+    }
+
+    /// Drops the dead slots: every list moves back into fresh arenas
+    /// in handle order — the layout `build` produces.
+    fn compact(&mut self) {
+        (self.lists, self.tf_arena, self.probe_arena) = self.compacted();
+    }
+
+    /// The offset table and both arenas in the compacted layout.
+    fn compacted(&self) -> (Vec<ListRef>, Vec<Posting>, Vec<ProbeEntry>) {
+        let live = self.posting_count();
         let mut lists = Vec::with_capacity(self.lists.len());
-        let mut touched = 0usize;
-        let mut superseded = 0usize;
-        for (i, list) in self.lists.iter().enumerate() {
-            let start = arena.len() as u32;
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
-            let mut additions = add_postings
-                .remove(&Kw(i as u32))
-                .unwrap_or_default()
-                .into_iter()
-                .peekable();
-            for &entry in slice {
-                if replacing.contains(&entry.frag) {
-                    superseded += 1;
-                    continue;
-                }
-                if removed_set.contains(&entry.frag) {
-                    touched += 1;
-                    continue;
-                }
-                while additions.peek().is_some_and(|a| a.frag < entry.frag) {
-                    arena.push(additions.next().expect("peeked"));
-                }
-                arena.push(entry);
-            }
-            arena.extend(additions);
-            lists.push(ListRef {
-                start,
-                len: (arena.len() as u32) - start,
-            });
+        let mut tf_arena = Vec::with_capacity(live);
+        let mut probe_arena = Vec::with_capacity(live);
+        for &list in &self.lists {
+            lists.push(ListRef::packed(tf_arena.len() as u32, list.len));
+            tf_arena.extend_from_slice(&self.tf_arena[list.range()]);
+            probe_arena.extend_from_slice(&self.probe_arena[list.range()]);
         }
-        if touched == 0 && superseded == 0 && added == 0 {
-            // Nothing matched (e.g. removing an already-tombstoned id):
-            // keep the existing arenas, skip the TF re-sort.
-            return 0;
-        }
-        self.probe_arena = arena;
-        self.lists = lists;
-        self.rebuild_tf_arena(catalog);
-        touched
+        (lists, tf_arena, probe_arena)
     }
 
     /// Removes every posting of `frag` (incremental maintenance).
@@ -444,7 +555,7 @@ impl InvertedFragmentIndex {
     }
 
     /// The keyword-occurrence maps of **every** live fragment,
-    /// reconstructed in one pass over the probe arena — O(total
+    /// reconstructed in one pass over the live lists — O(total
     /// postings). This is the dump path of per-shard persistence: the
     /// index stores no fragment-major copy of the occurrence maps, so
     /// a shard's fragments are re-derived keyword-major (probing
@@ -456,8 +567,7 @@ impl InvertedFragmentIndex {
                 continue;
             }
             let word = self.interner.word(Kw(i as u32));
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
-            for entry in slice {
+            for entry in &self.probe_arena[list.range()] {
                 terms
                     .entry(entry.frag)
                     .or_default()
@@ -480,21 +590,12 @@ impl InvertedFragmentIndex {
             if list.len == 0 {
                 continue;
             }
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
+            let slice = &self.probe_arena[list.range()];
             if let Ok(at) = slice.binary_search_by(|e| e.frag.cmp(&frag)) {
                 terms.push((self.interner.word(Kw(i as u32)), slice[at].occurrences));
             }
         }
         terms
-    }
-
-    /// Whether any inverted list holds a posting for `frag` (one binary
-    /// search per list — the no-op-removal pre-probe).
-    fn has_postings(&self, frag: Frag) -> bool {
-        self.lists.iter().any(|list| {
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
-            slice.binary_search_by(|e| e.frag.cmp(&frag)).is_ok()
-        })
     }
 
     /// Adjusts the stored fragment count (used by incremental
@@ -503,25 +604,53 @@ impl InvertedFragmentIndex {
         self.fragment_count = count;
     }
 
-    /// Total postings across every inverted list.
+    /// Total live postings across every inverted list.
     pub fn posting_count(&self) -> usize {
+        self.lists.iter().map(|l| l.len as usize).sum()
+    }
+
+    /// Slots each arena occupies, live and dead — at most twice
+    /// [`InvertedFragmentIndex::posting_count`].
+    pub fn arena_slots(&self) -> usize {
         self.tf_arena.len()
     }
 
     /// The per-keyword slice bounds as `(start, len)` pairs in handle
     /// order — the arena-image dump view of the shared offset table.
+    /// Starts are those of the compacted layout (the lists back to
+    /// back in handle order), whatever the in-memory placement, so an
+    /// image never carries a dead slot.
     pub(crate) fn image_lists(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
-        self.lists.iter().map(|l| (l.start, l.len))
+        let mut start = 0;
+        self.lists.iter().map(move |l| {
+            let at = start;
+            start += l.len;
+            (at, l.len)
+        })
     }
 
-    /// The TF-sorted arena, exactly as laid out in memory.
-    pub(crate) fn image_tf_arena(&self) -> &[Posting] {
-        &self.tf_arena
+    /// The TF-sorted lists in the compacted layout of `image_lists`:
+    /// the arena itself when it has that layout already (a fresh build
+    /// or load), else a compacted copy.
+    pub(crate) fn image_tf_arena(&self) -> Cow<'_, [Posting]> {
+        if self.is_compact() {
+            Cow::Borrowed(&self.tf_arena)
+        } else {
+            let mut arena = Vec::with_capacity(self.posting_count());
+            for list in &self.lists {
+                arena.extend_from_slice(&self.tf_arena[list.range()]);
+            }
+            Cow::Owned(arena)
+        }
     }
 
-    /// The fragment-sorted probe arena as `(frag, occurrences)` pairs.
-    pub(crate) fn image_probe(&self) -> impl ExactSizeIterator<Item = (u32, u64)> + '_ {
-        self.probe_arena.iter().map(|e| (e.frag.0, e.occurrences))
+    /// The fragment-sorted lists as `(frag, occurrences)` pairs, in
+    /// the compacted layout of `image_lists`.
+    pub(crate) fn image_probe(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.lists
+            .iter()
+            .flat_map(|l| &self.probe_arena[l.range()])
+            .map(|e| (e.frag.0, e.occurrences))
     }
 
     /// The interner behind the index (arena-image dump view).
@@ -546,12 +675,53 @@ impl InvertedFragmentIndex {
             interner,
             lists: lists
                 .into_iter()
-                .map(|(start, len)| ListRef { start, len })
+                .map(|(start, len)| ListRef::packed(start, len))
                 .collect(),
             tf_arena,
             probe_arena,
             fragment_count,
         }
+    }
+}
+
+impl Clone for InvertedFragmentIndex {
+    fn clone(&self) -> Self {
+        let (lists, tf_arena, probe_arena) = self.compacted();
+        InvertedFragmentIndex {
+            interner: self.interner.clone(),
+            lists,
+            tf_arena,
+            probe_arena,
+            fragment_count: self.fragment_count,
+        }
+    }
+}
+
+/// The TF-arena order: descending TF, ties by ascending fragment
+/// identifier — a total order, so a list's layout is independent of
+/// insertion order.
+fn tf_order(catalog: &FragmentCatalog, a: &Posting, b: &Posting) -> Ordering {
+    b.tf.partial_cmp(&a.tf)
+        .expect("finite TF")
+        .then_with(|| catalog.cmp_ids(a.frag, b.frag))
+}
+
+/// Sorts and dedups `frags` for binary-search membership tests.
+fn sorted_set(mut frags: Vec<Frag>) -> Vec<Frag> {
+    frags.sort_unstable();
+    frags.dedup();
+    frags
+}
+
+/// Whether a fragment-sorted probe slice holds any of the sorted
+/// `frags`, binary searching the longer side from the shorter one.
+fn holds_any(slice: &[ProbeEntry], frags: &[Frag]) -> bool {
+    if frags.len() <= slice.len() {
+        frags
+            .iter()
+            .any(|f| slice.binary_search_by(|e| e.frag.cmp(f)).is_ok())
+    } else {
+        slice.iter().any(|e| frags.binary_search(&e.frag).is_ok())
     }
 }
 
@@ -717,6 +887,63 @@ mod tests {
         for word in ["burger", "coffee", "thai"] {
             assert_eq!(idx.postings(word), sorted.postings(word), "{word}");
         }
+    }
+
+    #[test]
+    fn grown_lists_relocate_and_compaction_restores_build_layout() {
+        let fragments = figure_6_fragments();
+        let mut catalog = FragmentCatalog::from_fragments(&fragments);
+        let mut idx = InvertedFragmentIndex::build(&catalog, &fragments);
+        // (American,9) gains "burger": that list grows, moves to the
+        // arena's end, and leaves its three old slots dead.
+        let grown = fragment(
+            &[Value::str("American"), Value::Int(9)],
+            &[("coffee", 1), ("nice", 1), ("cafe", 1), ("burger", 4)],
+        );
+        catalog.intern(&grown);
+        idx.apply_delta(&catalog, &[], &[&grown]);
+        assert_eq!(idx.posting_count(), 13);
+        assert_eq!(idx.arena_slots(), 16);
+        let mut current = fragments.clone();
+        current[0] = grown;
+        let rebuilt = InvertedFragmentIndex::build(&catalog, &current);
+        assert_eq!(idx.postings("burger"), rebuilt.postings("burger"));
+        // A clone is compacted, and the image of the original is the
+        // clone's arenas as they lie in memory.
+        let copy = idx.clone();
+        assert_eq!(copy.arena_slots(), 13);
+        assert_eq!(&*idx.image_tf_arena(), copy.tf_arena.as_slice());
+        assert_eq!(
+            idx.image_probe().collect::<Vec<_>>(),
+            copy.probe_arena
+                .iter()
+                .map(|e| (e.frag.0, e.occurrences))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            idx.image_lists().collect::<Vec<_>>(),
+            copy.lists
+                .iter()
+                .map(|l| (l.start, l.len))
+                .collect::<Vec<_>>()
+        );
+        // A list that shrank keeps its slot, so growing back stays in
+        // place: removing and re-adding (American,10) adds no slot.
+        let ten = catalog.frag(&current[1].id).unwrap();
+        assert_eq!(idx.apply_delta(&catalog, &[ten], &[]), 3);
+        idx.apply_delta(&catalog, &[], &[&current[1]]);
+        assert_eq!(idx.arena_slots(), 16);
+        assert_eq!(idx.postings("burger"), rebuilt.postings("burger"));
+        // Removing three fragments leaves 4 live postings in 16 slots:
+        // past the threshold, so the arenas compact.
+        let gone: Vec<Frag> = current[1..]
+            .iter()
+            .map(|f| catalog.frag(&f.id).unwrap())
+            .collect();
+        assert_eq!(idx.apply_delta(&catalog, &gone, &[]), 9);
+        assert_eq!(idx.posting_count(), 4);
+        assert_eq!(idx.arena_slots(), 4);
+        assert_eq!(idx.postings("burger").map(<[Posting]>::len), Some(1));
     }
 
     #[test]

@@ -80,8 +80,9 @@ impl FragmentIndex {
     /// Applies one [`IndexDelta`] atomically: every structure sees the
     /// whole batch — removals first, then (re)insertions — before any
     /// search can observe the index again (`&mut self` guarantees
-    /// exclusivity), and the inverted arenas are rewritten **once** for
-    /// the batch rather than once per fragment. A delta may carry
+    /// exclusivity). The inverted index rewrites only the posting lists
+    /// the batch touches, each once for the whole batch, so the cost
+    /// follows the delta, not the index. A delta may carry
     /// several recomputations of the same identifier (e.g. two record
     /// deltas concatenated); the **last** add for an identifier wins,
     /// so applying a concatenation equals applying the parts in order.
@@ -106,8 +107,7 @@ impl FragmentIndex {
         // Graph first (it owns liveness): splice out removed nodes,
         // splice in fresh ones — each touches only its own group column.
         // Only frags with a live node go to the posting splice — a
-        // tombstoned handle has no postings, and skipping it here lets
-        // an all-tombstone delta bypass the arena rewrite entirely.
+        // tombstoned handle has no postings to look for.
         let mut removed_frags = Vec::with_capacity(delta.removes.len());
         for id in &delta.removes {
             if let Some(frag) = self.catalog.frag(id) {

@@ -377,26 +377,30 @@ fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<(
     // TF arena, column-major: frag, occurrences, TF bit patterns.
     let tf = index.inverted.image_tf_arena();
     write_u64(&mut payload, tf.len() as u64)?;
-    for p in tf {
+    for p in tf.iter() {
         payload.extend_from_slice(&p.frag.0.to_le_bytes());
     }
-    for p in tf {
+    for p in tf.iter() {
         payload.extend_from_slice(&p.occurrences.to_le_bytes());
     }
-    for p in tf {
+    for p in tf.iter() {
         payload.extend_from_slice(&p.tf.to_bits().to_le_bytes());
     }
     write_section(w, SEC_TF, &payload)?;
     payload.clear();
 
     // Probe arena, column-major: frag, occurrences.
-    write_u64(&mut payload, index.inverted.image_probe().len() as u64)?;
-    for (frag, _) in index.inverted.image_probe() {
-        payload.extend_from_slice(&frag.to_le_bytes());
-    }
-    for (_, occurrences) in index.inverted.image_probe() {
-        payload.extend_from_slice(&occurrences.to_le_bytes());
-    }
+    write_u64(&mut payload, index.inverted.posting_count() as u64)?;
+    // `for_each`, not `for`: the lists are chained slices, and internal
+    // iteration walks each one as a plain slice loop.
+    index
+        .inverted
+        .image_probe()
+        .for_each(|(frag, _)| payload.extend_from_slice(&frag.to_le_bytes()));
+    index
+        .inverted
+        .image_probe()
+        .for_each(|(_, occurrences)| payload.extend_from_slice(&occurrences.to_le_bytes()));
     write_section(w, SEC_PROBE, &payload)?;
     payload.clear();
 

@@ -809,14 +809,15 @@ impl ShardedEngine {
     }
 
     /// A deep, independent copy of this engine: every shard's index is
-    /// cloned (contiguous arenas — a memcpy, no re-derivation, no
-    /// re-partitioning), the static routing table and group-rank
-    /// offsets are carried over verbatim, and the copy gets its own
-    /// scratch pools and worker pool. This is the serving layer's
-    /// shadow: a snapshot-swapping front-end forks once at startup and
-    /// thereafter keeps two sides in lockstep by applying every delta
-    /// to each, so publication is an `Arc` pointer swap and searches
-    /// never wait on maintenance.
+    /// cloned (column copies, no re-derivation, no re-partitioning; the
+    /// posting arenas are copied compacted, so the copy carries no dead
+    /// slot however long the source has been maintained), the static
+    /// routing table and group-rank offsets are carried over verbatim,
+    /// and the copy gets its own scratch pools and worker pool. This is
+    /// the serving layer's shadow: a snapshot-swapping front-end forks
+    /// once at startup and thereafter keeps two sides in lockstep by
+    /// applying every delta to each, so publication is an `Arc` pointer
+    /// swap and searches never wait on maintenance.
     pub fn fork(&self) -> ShardedEngine {
         let shards: Vec<Arc<RwLock<Shard>>> = self
             .shards

@@ -4,13 +4,16 @@
 //! to the originals. The columnar arenas (catalog columns, posting
 //! arenas, group columns) are all derived from the fragment stream, so
 //! this pins the whole save → ship → serve path the paper's hours-long
-//! crawls motivate.
+//! crawls motivate. The arena image of a maintained engine is pinned
+//! too: it ships only live postings, in the compacted layout.
 
 use dash::core::crawl::reference;
 use dash::core::persist::{
     read_fragments, read_sharded_fragments, write_fragments, write_sharded_fragments,
 };
-use dash::core::{DashConfig, DashEngine, IngestSource, SearchRequest, ShardedEngine};
+use dash::core::{
+    DashConfig, DashEngine, Fragment, IndexDelta, IngestSource, SearchRequest, ShardedEngine,
+};
 use dash::mapreduce::WorkflowStats;
 use dash::relation::{Record, Value};
 use dash::webapp::fooddb;
@@ -209,4 +212,100 @@ fn roundtrip_then_incremental_maintenance_matches_rebuild() {
             "{keywords:?}"
         );
     }
+}
+
+/// The posting count an arena image declares: the sum of every shard's
+/// TF-section count. After the 8-byte magic, each section is framed as
+/// tag (u32), reserved (u32), payload length (u64), payload, checksum
+/// (u64); a TF payload starts with its posting count (u64).
+fn image_posting_count(image: &[u8]) -> usize {
+    const SEC_TF: u32 = 0x13;
+    let u64_at = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = 8;
+    let mut total = 0;
+    while at < image.len() {
+        let tag = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+        let len = u64_at(at + 8);
+        if tag == SEC_TF {
+            total += u64_at(at + 16);
+        }
+        at += 16 + len + 8;
+    }
+    total
+}
+
+#[test]
+fn churned_engine_image_ships_no_dead_slots() {
+    // Maintenance leaves dead arena slots behind (grown lists move to
+    // the arena's end). An image must not carry them: it declares
+    // exactly the live postings, reloads to identical searches, and
+    // equals the image of a fork, whose arenas are compacted copies.
+    let mut config = TpchConfig::new(Scale::Custom(1));
+    config.base_customers = 40;
+    config.base_parts = 50;
+    let db = generate(&config);
+    let app = dash_tpch::q2_application(&db).expect("Q2 analyzes");
+    let fragments = reference::fragments(&app, &db).expect("crawl");
+    let mut single =
+        DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).unwrap();
+    let mut sharded = ShardedEngine::builder(app.clone())
+        .shards(2)
+        .source(IngestSource::Fragments(&fragments))
+        .build()
+        .unwrap();
+    let hot = single.index().inverted.keywords_by_df()[0].0.to_string();
+
+    // Churn: re-add fragments with the hottest keyword bumped (its list
+    // grows and moves), remove others (their lists shrink in place).
+    let mut truth: Vec<Fragment> = fragments.clone();
+    let step = fragments.len() / 12;
+    for (i, fragment) in fragments.iter().step_by(step).enumerate() {
+        let delta = if i % 3 == 2 {
+            truth.retain(|f| f.id != fragment.id);
+            IndexDelta::removing(vec![fragment.id.clone()])
+        } else {
+            let mut occurrences = fragment.keyword_occurrences.clone();
+            *occurrences.entry(hot.clone()).or_insert(0) += 1;
+            occurrences.insert(format!("churn{i}"), 1);
+            let fresh = Fragment::new(fragment.id.clone(), occurrences, fragment.record_count);
+            truth.retain(|f| f.id != fragment.id);
+            truth.push(fresh.clone());
+            IndexDelta::new(vec![fragment.id.clone()], vec![fresh])
+        };
+        single.index_mut().apply(&delta);
+        sharded.apply_delta(delta);
+    }
+    let inverted = &single.index().inverted;
+    assert!(
+        inverted.arena_slots() > inverted.posting_count(),
+        "the churn must leave dead slots for the image to drop"
+    );
+
+    let mut image = Vec::new();
+    sharded.write_image(&mut image).unwrap();
+    let live: usize = truth.iter().map(|f| f.keyword_occurrences.len()).sum();
+    assert_eq!(inverted.posting_count(), live);
+    assert_eq!(image_posting_count(&image), live);
+
+    let loaded = ShardedEngine::builder(app.clone())
+        .source(IngestSource::Image(&image))
+        .build()
+        .unwrap();
+    let rebuilt = DashEngine::from_fragments(app, &truth, WorkflowStats::new()).unwrap();
+    for keywords in [
+        vec![hot.as_str()],
+        vec!["churn0"],
+        vec![hot.as_str(), "churn4"],
+    ] {
+        for s in [1u64, 100] {
+            let request = SearchRequest::new(&keywords).k(10).min_size(s);
+            let expected = rebuilt.search(&request);
+            assert_eq!(sharded.search(&request), expected, "{keywords:?} s={s}");
+            assert_eq!(loaded.search(&request), expected, "{keywords:?} s={s}");
+        }
+    }
+
+    let mut compacted = Vec::new();
+    sharded.fork().write_image(&mut compacted).unwrap();
+    assert!(image == compacted, "image differs from a compacted copy's");
 }

@@ -17,15 +17,18 @@
 //!   insert/replace/remove delta sequences, applied identically to all
 //!   shard counts and compared against a from-scratch rebuild;
 //! * round-trip composition — maintenance after a per-shard dump/load
-//!   (see `tests/persist_roundtrip.rs` for the dump itself).
+//!   (see `tests/persist_roundtrip.rs` for the dump itself);
+//! * layout — after every delta of long random histories, the
+//!   maintained posting arenas equal a fresh build list for list and
+//!   stay within two slots per live posting across compactions.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use dash::core::{
-    DashConfig, DashEngine, Fragment, FragmentId, IndexDelta, IngestSource, SearchRequest,
-    ShardedEngine,
+    DashConfig, DashEngine, Fragment, FragmentCatalog, FragmentId, FragmentIndex, IndexDelta,
+    IngestSource, InvertedFragmentIndex, SearchRequest, ShardedEngine,
 };
 use dash::mapreduce::WorkflowStats;
 use dash::relation::{Database, Record, Value};
@@ -521,5 +524,189 @@ proptest! {
                 truth.len()
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Layout-level property test: the maintained posting arenas themselves.
+// ---------------------------------------------------------------------
+
+/// One operation of a layout-level delta history; a delta carries one
+/// to three of them.
+#[derive(Debug, Clone)]
+enum LayoutOp {
+    /// Insert a fragment, or re-add a live one with new occurrences
+    /// (and so a new keyword total).
+    Upsert(GenFragment),
+    /// Upsert whose fragment also carries a keyword no earlier delta
+    /// used — a brand-new inverted list, which empties again once the
+    /// fragment is replaced or removed.
+    UpsertNovel(GenFragment),
+    /// Two adds of one identifier in one delta; the later one wins.
+    DuplicateAdd(GenFragment, Vec<(usize, u64)>),
+    /// Remove an identifier: live, already removed (a tombstoned
+    /// handle), or never indexed.
+    Remove(usize, i64),
+}
+
+fn layout_op_strategy() -> impl Strategy<Value = LayoutOp> {
+    // The remove arm is repeated so that lists empty out and live
+    // postings fall, which is what drives the arenas to compaction.
+    prop_oneof![
+        fragment_strategy().prop_map(LayoutOp::Upsert),
+        fragment_strategy().prop_map(LayoutOp::UpsertNovel),
+        (
+            fragment_strategy(),
+            prop::collection::vec((0usize..VOCAB.len(), 1u64..5), 1..4),
+        )
+            .prop_map(|(row, words)| LayoutOp::DuplicateAdd(row, words)),
+        (0..EQ_KEYS.len(), 0i64..12).prop_map(|(eq, range)| LayoutOp::Remove(eq, range)),
+        (0..EQ_KEYS.len(), 0i64..12).prop_map(|(eq, range)| LayoutOp::Remove(eq, range)),
+    ]
+}
+
+/// Turns one step's ops into a delta, naming novel keywords after the
+/// step so none repeats, and applies the same step to `truth`
+/// (removals first, then adds in order — `FragmentIndex::apply`'s
+/// semantics).
+fn layout_delta(
+    step: usize,
+    ops: &[LayoutOp],
+    truth: &mut BTreeMap<FragmentId, Fragment>,
+    words: &mut Vec<String>,
+) -> IndexDelta {
+    let mut removes = Vec::new();
+    let mut adds = Vec::new();
+    for (j, op) in ops.iter().enumerate() {
+        match op {
+            LayoutOp::Upsert(row) => adds.push(row.materialize()),
+            LayoutOp::UpsertNovel(row) => {
+                let mut fragment = row.materialize();
+                let novel = format!("novel{step}x{j}");
+                fragment
+                    .keyword_occurrences
+                    .insert(novel.clone(), 1 + j as u64);
+                words.push(novel);
+                adds.push(Fragment::new(fragment.id, fragment.keyword_occurrences, 1));
+            }
+            LayoutOp::DuplicateAdd(row, later) => {
+                adds.push(row.materialize());
+                let mut second = row.clone();
+                second.words = later.clone();
+                adds.push(second.materialize());
+            }
+            LayoutOp::Remove(eq, range) => removes.push(FragmentId::new(vec![
+                Value::str(EQ_KEYS[*eq]),
+                Value::Int(*range),
+            ])),
+        }
+    }
+    for id in &removes {
+        truth.remove(id);
+    }
+    for fragment in &adds {
+        truth.insert(fragment.id.clone(), fragment.clone());
+    }
+    IndexDelta::new(removes, adds)
+}
+
+/// Compares a maintained index with a fresh `FragmentIndex::build` of
+/// the same fragments, list by list. The fresh build interns the
+/// fragments in the maintained handle order, so the two probe orders
+/// (by handle) are comparable through identifiers.
+fn assert_layout_matches_build(
+    index: &FragmentIndex,
+    truth: &BTreeMap<FragmentId, Fragment>,
+    words: &[String],
+    context: &str,
+) {
+    let mut fragments: Vec<&Fragment> = truth.values().collect();
+    fragments.sort_by_key(|f| index.catalog.frag(&f.id).expect("live fragment interned"));
+    let fresh = FragmentIndex::build_refs(&fragments, Some(1)).unwrap();
+    let (got, want) = (&index.inverted, &fresh.inverted);
+    assert_eq!(
+        got.posting_count(),
+        want.posting_count(),
+        "{context}: postings"
+    );
+    assert_eq!(
+        got.keyword_count(),
+        want.keyword_count(),
+        "{context}: keywords"
+    );
+    assert_eq!(
+        got.keywords_by_df(),
+        want.keywords_by_df(),
+        "{context}: df ranking"
+    );
+    assert!(
+        got.arena_slots() <= 2 * got.posting_count(),
+        "{context}: {} arena slots for {} live postings",
+        got.arena_slots(),
+        got.posting_count()
+    );
+    for word in words {
+        assert_eq!(got.df(word), want.df(word), "{context}: df({word})");
+        let tf_slice = |inverted: &InvertedFragmentIndex, catalog: &FragmentCatalog| {
+            inverted.postings(word).map(|list| {
+                list.iter()
+                    .map(|p| (catalog.id(p.frag).clone(), p.occurrences, p.tf.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(
+            tf_slice(got, &index.catalog),
+            tf_slice(want, &fresh.catalog),
+            "{context}: TF slice of {word}"
+        );
+        let probe_slice = |inverted: &InvertedFragmentIndex, catalog: &FragmentCatalog| {
+            inverted.kw(word).map(|kw| {
+                inverted
+                    .probe_kw(kw)
+                    .map(|(frag, occurrences)| (catalog.id(frag).clone(), occurrences))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(
+            probe_slice(got, &index.catalog),
+            probe_slice(want, &fresh.catalog),
+            "{context}: probe slice of {word}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After every delta of a long random history, the maintained
+    /// arenas hold exactly the lists a fresh build lays out — TF slices
+    /// bit for bit, probe slices, df, posting and keyword counts — and
+    /// never more than two slots per live posting. Histories are long
+    /// enough that every case compacts the arenas at least twice.
+    #[test]
+    fn maintained_posting_lists_match_fresh_build(
+        rows in prop::collection::vec(fragment_strategy(), 10..40),
+        steps in prop::collection::vec(
+            prop::collection::vec(layout_op_strategy(), 1..4),
+            150..220,
+        ),
+    ) {
+        let initial = materialize(&rows);
+        let mut truth: BTreeMap<FragmentId, Fragment> =
+            initial.iter().map(|f| (f.id.clone(), f.clone())).collect();
+        let mut words: Vec<String> = VOCAB.iter().map(|w| w.to_string()).collect();
+        let mut index = FragmentIndex::build(&initial, Some(1)).unwrap();
+        let mut compactions = 0;
+        for (step, ops) in steps.iter().enumerate() {
+            let slots_before = index.inverted.arena_slots();
+            let delta = layout_delta(step, ops, &mut truth, &mut words);
+            index.apply(&delta);
+            // Placement only ever appends; a shorter arena was compacted.
+            if index.inverted.arena_slots() < slots_before {
+                compactions += 1;
+            }
+            assert_layout_matches_build(&index, &truth, &words, &format!("step {step}"));
+        }
+        prop_assert!(compactions >= 2, "only {} compactions", compactions);
     }
 }
