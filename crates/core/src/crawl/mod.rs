@@ -128,7 +128,7 @@ impl ByteSized for Key {
 
 /// Extracts the keyword tokens of a projected value vector, in render
 /// order (NULLs render empty and contribute nothing).
-pub(crate) fn keywords_of(values: &[Value]) -> Vec<String> {
+pub(crate) fn keywords_of<'v>(values: impl IntoIterator<Item = &'v Value>) -> Vec<String> {
     let mut out = Vec::new();
     for v in values {
         let rendered = v.render();

@@ -92,10 +92,7 @@ use crate::par;
 use crate::persist;
 use crate::search::topk::top_k_in;
 use crate::search::{PopEvent, PopTrace, SearchHit, SearchRequest, SearchScratch};
-use crate::update::{
-    affected_fragment_ids, build_delta, bulk_delta, DeltaSignature, IndexDelta, RecordChange,
-    RefreshStats,
-};
+use crate::update::{bulk_delta, DeltaSignature, IndexDelta, RecordChange, RefreshStats};
 use crate::Result;
 
 /// The shard count configured in the environment (`DASH_SHARDS`), if
@@ -712,8 +709,11 @@ impl ShardedEngine {
         relation: &str,
         record: &Record,
     ) -> Result<IndexDelta> {
-        let ids = affected_fragment_ids(&self.app, db, relation, record)?;
-        build_delta(&self.app, db, &ids)
+        bulk_delta(
+            &self.app,
+            db,
+            &[RecordChange::new(relation, record.clone())],
+        )
     }
 
     /// Applies a prebuilt delta: every entry is routed to the shard

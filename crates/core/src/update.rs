@@ -12,15 +12,19 @@
 //!
 //! 1. **find** — a base-table delta (inserted or deleted record)
 //!    touches exactly the fragments whose identifiers appear in the
-//!    join rows the record participates in; [`affected_fragment_ids`]
-//!    finds them by joining a one-record shadow of the delta's relation
-//!    against the rest of the database;
-//! 2. **build** — [`build_delta`] recomputes the affected fragments
-//!    from the current database and packages them as an [`IndexDelta`];
+//!    join rows the record participates in; [`bulk_affected_ids`]
+//!    finds them by joining a shadow of each changed relation, holding
+//!    only the batch's delta records, against the rest of the database;
+//! 2. **build** — [`bulk_delta`] recomputes the affected fragments
+//!    from the current database ([`reference::fragments_for_ids`]) and
+//!    packages them as an [`IndexDelta`]. Both joins borrow the
+//!    database's rows and the recompute pushes the affected
+//!    identifiers into the join, so deriving a delta costs the touched
+//!    groups' rows, not a copy or a full join of the database;
 //! 3. **apply** — [`FragmentIndex::apply`] splices the delta into every
-//!    structure atomically: per-keyword posting splices are batched
-//!    into **one** arena rewrite + one TF re-sort, and per-group graph
-//!    splices touch only the affected groups' columns. No full rebuild.
+//!    structure atomically: only the posting lists the delta touches
+//!    are rewritten, and per-group graph splices touch only the
+//!    affected groups' columns. No full rebuild.
 //!
 //! [`DashEngine`] applies a delta to its one index;
 //! [`ShardedEngine`](crate::sharded::ShardedEngine) routes each delta
@@ -186,49 +190,20 @@ impl RefreshStats {
     }
 }
 
-/// The fragment identifiers affected by one record of `relation`.
+/// The fragment identifiers affected by a batch of record changes.
+/// The changes are grouped per relation: all of a relation's delta
+/// records join the rest of the database **once**, so a bulk re-crawl
+/// of N changes pays one shadow join per touched relation rather than
+/// N.
 ///
-/// `db` must contain the record's foreign-key parents (for an insert,
-/// call after inserting or with the record passed here and not yet
-/// inserted — only the shadow copy is joined; for a delete, call before
-/// deleting).
-///
-/// # Errors
-///
-/// Propagates relational errors (unknown relation, schema mismatch).
-pub fn affected_fragment_ids(
-    app: &WebApplication,
-    db: &Database,
-    relation: &str,
-    record: &Record,
-) -> Result<Vec<FragmentId>> {
-    // Shadow database: `relation` holds only the delta record.
-    let mut shadow = db.clone();
-    let schema = db.table(relation)?.schema().clone();
-    let table = Table::with_records(schema, vec![record.clone()])?;
-    shadow.add_table(table);
-    let fragments = reference::fragments(app, &shadow)?;
-    // Outer-join padding in the shadow can fabricate fragments for *other*
-    // left rows (they all pad); keep only identifiers whose rows involve
-    // the delta — which is exactly those with nonzero records containing
-    // the record's own selection/join values. Since only `relation` was
-    // shrunk, every produced fragment that contains ≥1 record either
-    // involves the delta or is a padded left row; both kinds are affected
-    // conservatively re-derivable, so refresh them all. (Cheap: the shadow
-    // join is tiny.)
-    Ok(fragments.into_iter().map(|f| f.id).collect())
-}
-
-/// The fragment identifiers affected by a *batch* of record changes —
-/// the bulk counterpart of [`affected_fragment_ids`]. The shadow joins
-/// are batched per relation: all of a relation's delta records join the
-/// rest of the database **once**, instead of once per record, so a
-/// bulk re-crawl of N changes pays one shadow join per touched relation
-/// rather than N.
+/// `db` must contain the records' foreign-key parents (for an insert,
+/// call after inserting or before — only the delta records are joined;
+/// for a delete, the parents must still be there).
 ///
 /// # Errors
 ///
-/// Propagates relational errors (unknown relation, schema mismatch).
+/// Propagates relational errors (unknown relation, schema mismatch,
+/// and a primary key repeated among one relation's delta records).
 pub fn bulk_affected_ids(
     app: &WebApplication,
     db: &Database,
@@ -243,18 +218,16 @@ pub fn bulk_affected_ids(
     }
     let mut ids = BTreeSet::new();
     for (relation, records) in by_relation {
-        // Shadow database: `relation` holds only this batch's delta
-        // records; their FK parents are still in `db`. Distinct delta
-        // records of ONE relation never join each other (a PSJ query
-        // joins a relation against the others, not itself), so one
-        // shadow join covers the whole batch exactly.
-        let mut shadow = db.clone();
+        // The shadow holds only this relation's delta records; their FK
+        // parents are the database's own rows. Distinct delta records of
+        // ONE relation never join each other (a PSJ query joins a
+        // relation against the others, not itself), so one shadow join
+        // covers the whole batch exactly. Outer-join padding can add
+        // identifiers of left rows the delta does not touch; they are
+        // kept and re-derived, which is conservative and exact.
         let schema = db.table(relation)?.schema().clone();
-        let table = Table::with_records(schema, records)?;
-        shadow.add_table(table);
-        for fragment in reference::fragments(app, &shadow)? {
-            ids.insert(fragment.id);
-        }
+        let shadow = Table::with_records(schema, records)?;
+        ids.extend(reference::shadow_ids(app, db, &shadow)?);
     }
     Ok(ids)
 }
@@ -362,8 +335,11 @@ impl DashEngine {
         relation: &str,
         record: &Record,
     ) -> Result<IndexDelta> {
-        let ids = affected_fragment_ids(self.app(), db, relation, record)?;
-        build_delta(self.app(), db, &ids)
+        bulk_delta(
+            self.app(),
+            db,
+            &[RecordChange::new(relation, record.clone())],
+        )
     }
 
     /// Applies a prebuilt delta to the index.

@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dash_core::{wire, IndexDelta, RecordChange, SearchRequest};
-use dash_relation::Database;
+use dash_relation::{Database, Record, RelationError};
 use dash_serve::DashServer;
 use parking_lot::Mutex;
 
@@ -411,10 +411,12 @@ impl Backend {
 /// replica.
 ///
 /// One lock span across db mutation + delta publication keeps database
-/// and engine in lockstep for concurrent updaters. The batch is
-/// applied to a staged copy first: a mid-batch failure (unknown
-/// relation, schema mismatch) must leave the authoritative database
-/// untouched — a half-applied batch would diverge db and engine
+/// and engine in lockstep for concurrent updaters. The batch is applied
+/// to the authoritative database in place, each change logging its
+/// inverse; any failure (unknown relation, schema mismatch, a delta
+/// that cannot be derived) rolls the log back before the lock is
+/// released, leaving the database record-for-record and order-for-order
+/// as it was — a half-applied batch would diverge db and engine
 /// forever, since nothing gets published.
 fn apply_changes_to(
     server: &DashServer,
@@ -422,33 +424,30 @@ fn apply_changes_to(
     changes: Vec<NetChange>,
 ) -> Result<UpdateAck, Response> {
     let mut db = db.lock();
-    let mut staged = db.clone();
+    let mut log = UndoLog {
+        db: &mut db,
+        undo: Vec::with_capacity(changes.len()),
+    };
     let mut batch = Vec::with_capacity(changes.len());
     for change in changes {
         match change {
             NetChange::Insert(change) => {
-                let applied = staged
-                    .table_mut(&change.relation)
-                    .and_then(|t| t.insert(change.record.clone()));
-                if let Err(e) = applied {
+                if let Err(e) = log.insert(&change) {
                     return Err(Response::error(400, &format!("insert failed: {e}")));
                 }
                 batch.push(change);
             }
             NetChange::Delete(change) => {
-                match staged.table_mut(&change.relation) {
-                    Ok(table) => {
-                        table.delete_where(|r| *r == change.record);
-                    }
-                    Err(e) => return Err(Response::error(400, &format!("delete failed: {e}"))),
+                if let Err(e) = log.delete(&change) {
+                    return Err(Response::error(400, &format!("delete failed: {e}")));
                 }
                 batch.push(change);
             }
         }
     }
-    match server.apply_changes_with_epoch(&staged, &batch) {
+    match server.apply_changes_with_epoch(log.db, &batch) {
         Ok((stats, epoch)) => {
-            *db = staged;
+            log.undo.clear();
             Ok(UpdateAck {
                 removed: stats.removed,
                 added: stats.added,
@@ -456,6 +455,62 @@ fn apply_changes_to(
             })
         }
         Err(e) => Err(Response::error(400, &format!("apply failed: {e}"))),
+    }
+}
+
+/// The inverses of the changes applied so far to a database, undone in
+/// reverse when the log drops — on an error return and on an unwind
+/// alike. Clearing `undo` commits.
+struct UndoLog<'a> {
+    db: &'a mut Database,
+    undo: Vec<Undo>,
+}
+
+/// The inverse of one applied change.
+enum Undo {
+    /// An insert appended one record to the relation.
+    Inserted(String),
+    /// A delete took these records from the relation.
+    Deleted(String, Vec<(usize, Record)>),
+}
+
+impl UndoLog<'_> {
+    fn insert(&mut self, change: &RecordChange) -> Result<(), RelationError> {
+        self.db
+            .table_mut(&change.relation)?
+            .insert(change.record.clone())?;
+        self.undo.push(Undo::Inserted(change.relation.clone()));
+        Ok(())
+    }
+
+    fn delete(&mut self, change: &RecordChange) -> Result<(), RelationError> {
+        let taken = self
+            .db
+            .table_mut(&change.relation)?
+            .take_where(|r| *r == change.record);
+        self.undo
+            .push(Undo::Deleted(change.relation.clone(), taken));
+        Ok(())
+    }
+}
+
+impl Drop for UndoLog<'_> {
+    fn drop(&mut self) {
+        // Every logged change found its table, so the lookups succeed.
+        for undo in self.undo.drain(..).rev() {
+            match undo {
+                Undo::Inserted(relation) => {
+                    if let Ok(table) = self.db.table_mut(&relation) {
+                        table.pop();
+                    }
+                }
+                Undo::Deleted(relation, taken) => {
+                    if let Ok(table) = self.db.table_mut(&relation) {
+                        table.restore(taken);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -786,6 +841,110 @@ mod tests {
         assert!(text.contains("dash_net_accepted_total 2"), "{text}");
         assert!(text.contains("dash_net_open_connections 1"), "{text}");
         assert!(text.contains("dash_net_shed_jobs_total 1"), "{text}");
+    }
+
+    /// Every table's records, in order.
+    fn tables(db: &Mutex<Database>) -> Vec<(String, Vec<Record>)> {
+        let db = db.lock();
+        db.table_names()
+            .into_iter()
+            .map(|name| (name.to_string(), db.table(name).unwrap().records().to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn failed_batches_roll_back_in_place() {
+        use dash_core::DashConfig;
+        use dash_serve::ServeConfig;
+        use dash_webapp::fooddb;
+
+        let db = fooddb::database();
+        let app = fooddb::search_application().unwrap();
+        let server =
+            DashServer::build(&app, &db, &DashConfig::default(), ServeConfig::default()).unwrap();
+        let db = Mutex::new(db);
+        let before = tables(&db);
+        let comment = |cid: i64, text: &str| {
+            RecordChange::new(
+                "comment",
+                Record::new(vec![
+                    Value::Int(cid),
+                    Value::Int(1),
+                    Value::Int(109),
+                    Value::str(text),
+                    Value::str("09/12"),
+                ]),
+            )
+        };
+        // A middle row, so a restore that appends would reorder.
+        let existing = RecordChange::new(
+            "comment",
+            db.lock().table("comment").unwrap().records()[2].clone(),
+        );
+        let mut edited = existing.clone();
+        edited.record = Record::new(
+            edited
+                .record
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    if i == 3 {
+                        Value::str("Edited")
+                    } else {
+                        v.clone()
+                    }
+                })
+                .collect(),
+        );
+        for (why, batch) in [
+            (
+                "duplicate primary key in the database",
+                vec![
+                    NetChange::Delete(existing.clone()),
+                    NetChange::Insert(comment(300, "Fresh take")),
+                    NetChange::Insert(comment(201, "Taken key")),
+                ],
+            ),
+            (
+                // The database accepts it; the shadow `comment` of the
+                // delta derivation then holds key 203 twice.
+                "failure inside the delta derivation",
+                vec![
+                    NetChange::Delete(existing.clone()),
+                    NetChange::Insert(edited),
+                ],
+            ),
+            (
+                "unknown relation after applied changes",
+                vec![
+                    NetChange::Insert(comment(300, "Fresh take")),
+                    NetChange::Delete(existing.clone()),
+                    NetChange::Delete(RecordChange::new("no_such_relation", Record::new(vec![]))),
+                ],
+            ),
+        ] {
+            let err = apply_changes_to(&server, &db, batch).expect_err(why);
+            assert_eq!(err.status, 400, "{why}");
+            assert_eq!(server.epoch(), 0, "{why}: nothing published");
+            assert_eq!(tables(&db), before, "{why}: records and order restored");
+        }
+        // Keys were restored too: the deleted row's key is held again,
+        // the rolled-back insert's key is free.
+        let err = apply_changes_to(&server, &db, vec![NetChange::Insert(existing.clone())])
+            .expect_err("restored key is held");
+        assert_eq!(err.status, 400);
+        let ack = apply_changes_to(
+            &server,
+            &db,
+            vec![
+                NetChange::Delete(existing),
+                NetChange::Insert(comment(300, "Fresh take")),
+            ],
+        )
+        .unwrap();
+        assert_eq!(ack.epoch, 1);
+        assert_eq!(db.lock().table("comment").unwrap().len(), 6);
     }
 
     #[test]

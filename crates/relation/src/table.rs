@@ -94,12 +94,7 @@ impl Table {
     pub fn insert(&mut self, record: Record) -> Result<(), RelationError> {
         self.validate(&record)?;
         if !self.schema.primary_key().is_empty() {
-            let key: Vec<Value> = self
-                .schema
-                .primary_key()
-                .iter()
-                .map(|&i| record.values()[i].clone())
-                .collect();
+            let key = self.key_of(&record);
             if !self.key_set.insert(key.clone()) {
                 return Err(RelationError::DuplicateKey {
                     relation: self.schema.relation().to_string(),
@@ -113,28 +108,72 @@ impl Table {
 
     /// Removes all records matching `pred`, returning how many were removed.
     /// Primary-key bookkeeping is kept consistent.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Record) -> bool) -> usize {
-        let pk = self.schema.primary_key().to_vec();
-        let key_set = &mut self.key_set;
-        let before = self.records.len();
-        self.records.retain(|r| {
-            if pred(r) {
-                if !pk.is_empty() {
-                    let key: Vec<Value> = pk.iter().map(|&i| r.values()[i].clone()).collect();
-                    key_set.remove(&key);
+    pub fn delete_where(&mut self, pred: impl FnMut(&Record) -> bool) -> usize {
+        self.take_where(pred).len()
+    }
+
+    /// Removes all records matching `pred` and returns them with their
+    /// former positions, ascending: the undo entry [`Table::restore`]
+    /// puts back. Primary-key bookkeeping is kept consistent.
+    pub fn take_where(&mut self, mut pred: impl FnMut(&Record) -> bool) -> Vec<(usize, Record)> {
+        let mut position = 0;
+        let mut positions = Vec::new();
+        let taken: Vec<Record> = self
+            .records
+            .extract_if(.., |record| {
+                let hit = pred(record);
+                if hit {
+                    positions.push(position);
                 }
-                false
-            } else {
-                true
+                position += 1;
+                hit
+            })
+            .collect();
+        if !self.schema.primary_key().is_empty() {
+            for record in &taken {
+                let key = self.key_of(record);
+                self.key_set.remove(&key);
             }
-        });
-        before - self.records.len()
+        }
+        positions.into_iter().zip(taken).collect()
+    }
+
+    /// Puts records taken by [`Table::take_where`] back at their former
+    /// positions. Exact when the table is in the state `take_where`
+    /// left it in, so a log of several changes undoes in reverse order.
+    pub fn restore(&mut self, taken: Vec<(usize, Record)>) {
+        for (position, record) in taken {
+            if !self.schema.primary_key().is_empty() {
+                let key = self.key_of(&record);
+                self.key_set.insert(key);
+            }
+            self.records.insert(position, record);
+        }
+    }
+
+    /// Removes and returns the last record (the undo of an
+    /// [`Table::insert`]). Primary-key bookkeeping is kept consistent.
+    pub fn pop(&mut self) -> Option<Record> {
+        let record = self.records.pop()?;
+        if !self.schema.primary_key().is_empty() {
+            let key = self.key_of(&record);
+            self.key_set.remove(&key);
+        }
+        Some(record)
     }
 
     /// Total approximate byte size of all records (used to report dataset
     /// sizes, Table II of the paper).
     pub fn byte_size(&self) -> usize {
         self.records.iter().map(Record::byte_size).sum()
+    }
+
+    fn key_of(&self, record: &Record) -> Vec<Value> {
+        self.schema
+            .primary_key()
+            .iter()
+            .map(|&i| record.values()[i].clone())
+            .collect()
     }
 
     fn validate(&self, record: &Record) -> Result<(), RelationError> {
@@ -235,6 +274,37 @@ mod tests {
         // Key is reusable after delete.
         t.insert(Record::new(vec![Value::Int(1), Value::str("c")]))
             .unwrap();
+    }
+
+    #[test]
+    fn take_and_restore_round_trip_records_keys_and_order() {
+        let mut t = Table::new(schema());
+        for (rid, name) in [(1, "a"), (2, "b"), (3, "c"), (4, "d")] {
+            t.insert(Record::new(vec![Value::Int(rid), Value::str(name)]))
+                .unwrap();
+        }
+        let before = t.records().to_vec();
+        let taken = t.take_where(|r| matches!(r.get(0), Some(Value::Int(1 | 3))));
+        assert_eq!(
+            taken.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
+            vec![0, 2]
+        );
+        assert_eq!(t.len(), 2);
+        // Taken keys are free, and the insert is undone by `pop`.
+        t.insert(Record::new(vec![Value::Int(3), Value::str("z")]))
+            .unwrap();
+        assert_eq!(t.pop().unwrap().get(1), Some(&Value::str("z")));
+        assert!(t.take_where(|_| false).is_empty());
+        t.restore(taken);
+        assert_eq!(t.records(), &before[..]);
+        // Restored keys are held again; popped ones are free.
+        assert!(t
+            .insert(Record::new(vec![Value::Int(3), Value::str("dup")]))
+            .is_err());
+        assert_eq!(t.pop().unwrap().get(0), Some(&Value::Int(4)));
+        t.insert(Record::new(vec![Value::Int(4), Value::str("d")]))
+            .unwrap();
+        assert_eq!(t.records(), &before[..]);
     }
 
     #[test]

@@ -693,48 +693,26 @@ impl DashServer {
         });
         let retired = self.shared.handle.swap(Arc::clone(&next));
         drop(swap_span);
-        // Grace period: wait out the retired snapshot's readers and
-        // replay the delta so the next publication starts in lockstep.
-        // The wait is bounded: a caller may legitimately hold a
-        // `DashServer::snapshot` forever, and the writer must not
-        // livelock on it — if the retired side does not drain, abandon
-        // it to its holders and fork the freshly published engine as
-        // the next shadow instead (an O(index) memcpy, the same cost
-        // as server startup).
-        // Decide up front whether the publication event is needed — by
-        // a registered replication tap or by the delta log. Taps
-        // register under the writer lock — which this publication
-        // holds — so the answer cannot change mid-publish. Without
-        // either the delta is *moved* into the retired-side replay, so
-        // a non-replicated log-disabled deployment never pays a clone.
-        let event_delta = {
-            let log_enabled = self.shared.delta_log.lock().capacity > 0;
-            let taps = self.shared.taps.lock();
-            (log_enabled || !taps.is_empty()).then(|| delta.clone())
-        };
-        let drain_span = SpanGuard::start(&self.shared.drain_ns);
-        match try_drain(retired, DRAIN_ATTEMPTS) {
-            Some(mut retired) => {
-                retired.engine.apply_delta(delta);
-                writer.shadow = Some(retired.engine);
-            }
-            None => writer.shadow = Some(next.engine.fork()),
-        }
-        drop(drain_span);
-        self.shared.published.inc();
-        // Record the publication in the delta log and feed the
-        // replication taps (still under the writer lock, so every tap
-        // sees publications in epoch order with no gaps). Sends never
-        // block: a bounded tap whose consumer has fallen `feed_depth`
-        // publications behind is evicted on the spot — its channel
-        // closes and the consumer re-syncs through
+        // Count the publication, record it in the delta log and feed
+        // the replication taps as soon as it is live, so replicas apply
+        // it while the grace period below runs here. Taps register
+        // under the writer lock — which this publication holds — so
+        // every tap sees publications in epoch order with no gaps.
+        // Without a tap or a log the delta is *moved* into the
+        // retired-side replay, so a non-replicated log-disabled
+        // deployment never pays a clone. Sends never block: a bounded
+        // tap whose consumer has fallen `feed_depth` publications
+        // behind is evicted on the spot — its channel closes and the
+        // consumer re-syncs through
         // [`DashServer::replication_feed_from`] — so a stuck replica
         // costs the publisher a bounded channel, never unbounded
         // memory.
-        if let Some(delta) = event_delta {
+        self.shared.published.inc();
+        let log_enabled = self.shared.delta_log.lock().capacity > 0;
+        if log_enabled || !self.shared.taps.lock().is_empty() {
             let event = PublishEvent {
                 epoch: writer.epoch,
-                delta,
+                delta: delta.clone(),
                 signature,
             };
             self.shared.delta_log.lock().push(event.clone());
@@ -752,6 +730,23 @@ impl DashServer {
                 self.shared.feed_evictions.add(evicted);
             }
         }
+        // Grace period: wait out the retired snapshot's readers and
+        // replay the delta so the next publication starts in lockstep.
+        // The wait is bounded: a caller may legitimately hold a
+        // `DashServer::snapshot` forever, and the writer must not
+        // livelock on it — if the retired side does not drain, abandon
+        // it to its holders and fork the freshly published engine as
+        // the next shadow instead (an O(index) memcpy, the same cost
+        // as server startup).
+        let drain_span = SpanGuard::start(&self.shared.drain_ns);
+        match try_drain(retired, DRAIN_ATTEMPTS) {
+            Some(mut retired) => {
+                retired.engine.apply_delta(delta);
+                writer.shadow = Some(retired.engine);
+            }
+            None => writer.shadow = Some(next.engine.fork()),
+        }
+        drop(drain_span);
         (stats, writer.epoch)
     }
 

@@ -235,6 +235,63 @@ fn failed_update_batches_leave_the_database_untouched() {
 }
 
 #[test]
+fn rejected_batches_roll_back_every_applied_change() {
+    // The primary applies a batch to its database in place; a change
+    // failing after a delete and an insert already applied must undo
+    // both. A leaked delete or insert would show in the next write's
+    // recompute, which then disagrees with a truth database.
+    let fragments = crawled_fragments();
+    let (server, net, _hub) = primary(&fragments, 2);
+    let mut client = NetClient::connect(net.addr()).unwrap();
+    let db = fooddb::database();
+    let existing = db.table("comment").unwrap().records()[1].clone();
+    let comment = |cid: i64, rid: i64, text: &str| {
+        Record::new(vec![
+            Value::Int(cid),
+            Value::Int(rid),
+            Value::Int(120),
+            Value::str(text),
+            Value::str("09/12"),
+        ])
+    };
+    let result = client.apply(vec![
+        NetChange::Delete(RecordChange::new("comment", existing.clone())),
+        NetChange::Insert(RecordChange::new(
+            "comment",
+            comment(300, 5, "Green curry rocks"),
+        )),
+        NetChange::Insert(RecordChange::new(
+            "comment",
+            comment(201, 5, "Duplicate key"),
+        )),
+    ]);
+    assert!(result.is_err(), "the batch must be rejected");
+    assert_eq!(server.epoch(), 0, "nothing published");
+    // A valid comment write recomputes every group from the database
+    // as it is now (LEFT JOIN padding makes every restaurant's group
+    // affected), (American,12) and (Thai,10) included.
+    let wings = comment(301, 5, "Wings and curry");
+    let ack = client.insert("comment", wings.clone()).unwrap();
+    assert_eq!(ack.epoch, 1);
+    let mut truth_db = db;
+    truth_db
+        .table_mut("comment")
+        .unwrap()
+        .insert(wings)
+        .unwrap();
+    let truth = DashEngine::build(&app(), &truth_db, &DashConfig::default()).unwrap();
+    assert_socket_equivalent(&mut client, &truth, "after a rolled-back batch");
+    for kw in ["unique", "curry", "wings", "duplicate", "green"] {
+        let request = SearchRequest::new(&[kw]).k(4).min_size(1);
+        assert_eq!(
+            client.search(&request).unwrap(),
+            truth.search(&request),
+            "{kw}"
+        );
+    }
+}
+
+#[test]
 fn dropping_one_replica_leaves_the_others_registered() {
     // Streamer cleanup must deregister exactly the dead connection
     // (accepted sockets all share the hub's local address; identity is
